@@ -156,8 +156,10 @@ void ThreadPool::worker_main(unsigned id) {
     }
     seen_epoch = epoch_;
     // A worker that slept through a whole batch (siblings drained it)
-    // wakes here with a stale fn_; its queues are empty by then, so the
-    // pointer is never called.
+    // wakes here after that batch's parallel_for returned, so fn_ may
+    // point at a dead closure. It is never called: the queues are empty,
+    // and the next parallel_for places no items until this worker is
+    // back in the wait loop (active_ == 0).
     const std::function<void(std::size_t)>* fn = fn_;
     ++active_;
     mu_.unlock();
@@ -180,6 +182,10 @@ void ThreadPool::parallel_for(
   std::uint64_t epoch_now = 0;
   {
     MutexLock lock(mu_);
+    // A worker that woke after the previous batch returned holds that
+    // batch's (now dangling) fn_; keep the new items away from it until
+    // it has found the queues empty and left.
+    while (active_ != 0) done_cv_.wait(mu_);
     // Item placement happens under mu_, so a worker can only observe
     // the new items together with the new epoch (and thus the new fn_).
     // Contiguous chunks (worker i gets count/n adjacent items);

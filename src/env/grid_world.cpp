@@ -72,20 +72,6 @@ StateId GridWorld::transition(StateId s, ActionId a,
   return transition(s, executed);
 }
 
-double GridWorld::reward(StateId s, ActionId a) const {
-  QTA_DCHECK(s < num_states() && a < num_actions());
-  int dx = 0, dy = 0;
-  action_delta(config_.num_actions, a, dx, dy);
-  const int nx = static_cast<int>(x_of(s)) + dx;
-  const int ny = static_cast<int>(y_of(s)) + dy;
-  if (!in_bounds(nx, ny)) return -config_.collision_penalty;
-  const StateId next =
-      state_of(static_cast<unsigned>(nx), static_cast<unsigned>(ny));
-  if (obstacle_[next]) return -config_.collision_penalty;
-  if (next == goal_) return config_.goal_reward;
-  return config_.step_reward;
-}
-
 bool GridWorld::is_terminal(StateId s) const { return s == goal_; }
 
 bool GridWorld::is_obstacle(StateId s) const {

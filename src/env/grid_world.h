@@ -57,8 +57,24 @@ class GridWorld final : public Environment {
   unsigned transition_noise_bits() const override;
   StateId transition(StateId s, ActionId a,
                      std::uint64_t noise) const override;
-  double reward(StateId s, ActionId a) const override;
   bool is_terminal(StateId s) const override;
+
+  /// Inline for the same reason as transition(): the reward image
+  /// (qtaccel::reward_image) calls it once per table entry through a
+  /// GridWorld reference, where it devirtualizes.
+  double reward(StateId s, ActionId a) const override {
+    QTA_DCHECK(s < num_states() && a < num_actions());
+    int dx = 0, dy = 0;
+    action_delta(config_.num_actions, a, dx, dy);
+    const int nx = static_cast<int>(x_of(s)) + dx;
+    const int ny = static_cast<int>(y_of(s)) + dy;
+    if (!in_bounds(nx, ny)) return -config_.collision_penalty;
+    const StateId next =
+        state_of(static_cast<unsigned>(nx), static_cast<unsigned>(ny));
+    if (obstacle_[next]) return -config_.collision_penalty;
+    if (next == goal_) return config_.goal_reward;
+    return config_.step_reward;
+  }
 
   /// Deterministic move. Inline (it is also the devirtualized fast path
   /// of the functional backend, which executes it once per sample and

@@ -33,10 +33,11 @@ BoltzmannPipeline::BoltzmannPipeline(const env::Environment& env,
   QTA_CHECK(config.alpha > 0.0 && config.alpha <= 1.0);
   QTA_CHECK(config.gamma >= 0.0 && config.gamma < 1.0);
   QTA_CHECK_MSG(config.temperature > 0.0, "temperature must be positive");
+  const std::vector<fixed::raw_t> rewards =
+      reward_image(env, map_, config.q_fmt);
   for (StateId s = 0; s < env.num_states(); ++s) {
     for (ActionId a = 0; a < env.num_actions(); ++a) {
-      r_table_.preset(map_.q_addr(s, a),
-                      fixed::from_double(env.reward(s, a), config.q_fmt));
+      r_table_.preset(map_.q_addr(s, a), rewards[map_.q_addr(s, a)]);
       // Uniform initial policy: all weights = exp(0 / T) = 1.
       p_table_.preset(map_.q_addr(s, a), refreshed_weight(0));
     }

@@ -1,9 +1,13 @@
 #include "qtaccel/config.h"
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "common/bit_math.h"
 #include "common/check.h"
+#include "env/grid_world.h"
 
 namespace qta::qtaccel {
 
@@ -15,6 +19,48 @@ AddressMap make_address_map(const env::Environment& env) {
   map.state_bits = log2_ceil(env.num_states());
   map.action_bits = log2_ceil(env.num_actions());
   return map;
+}
+
+std::vector<fixed::raw_t> reward_image(const env::Environment& env,
+                                       const AddressMap& map,
+                                       fixed::Format fmt) {
+  // Rewards take few distinct values (a grid world pays three), so each
+  // is quantized once and memoized by bit pattern, with the last hit
+  // checked first (neighbouring entries mostly pay the same). from_double
+  // is pure, so the image is bit-identical to quantizing every entry.
+  std::array<std::pair<std::uint64_t, fixed::raw_t>, 8> memo{};
+  std::size_t memo_size = 0;
+  std::size_t hit = 0;
+  const auto quantize = [&](double r) {
+    const auto bits = std::bit_cast<std::uint64_t>(r);
+    if (memo_size > 0 && memo[hit].first == bits) return memo[hit].second;
+    for (hit = 0; hit < memo_size; ++hit) {
+      if (memo[hit].first == bits) return memo[hit].second;
+    }
+    const fixed::raw_t raw = fixed::from_double(r, fmt);
+    hit = 0;
+    if (memo_size < memo.size()) {
+      hit = memo_size++;
+      memo[hit] = {bits, raw};
+    }
+    return raw;
+  };
+  std::vector<fixed::raw_t> image(map.depth(), 0);
+  const auto fill = [&](const auto& e) {
+    const StateId states = e.num_states();
+    const ActionId actions = e.num_actions();
+    for (StateId s = 0; s < states; ++s) {
+      for (ActionId a = 0; a < actions; ++a) {
+        image[map.q_addr(s, a)] = quantize(e.reward(s, a));
+      }
+    }
+  };
+  if (const auto* grid = dynamic_cast<const env::GridWorld*>(&env)) {
+    fill(*grid);  // final class: reward() inlines
+  } else {
+    fill(env);
+  }
+  return image;
 }
 
 void validate_config(const PipelineConfig& config,

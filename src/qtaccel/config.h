@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 #include "env/environment.h"
@@ -134,6 +135,14 @@ struct AddressMap {
 /// Derives the address map from an environment; requires a power-of-two
 /// action count (the paper's encodings use 2 or 3 action bits).
 AddressMap make_address_map(const env::Environment& env);
+
+/// The reward BRAM image: env.reward(s, a) quantized to `fmt` at
+/// map.q_addr(s, a), zero in the padding. Every backend builds its
+/// reward table from this one loop. It calls a GridWorld's inline
+/// reward() directly and quantizes each distinct reward value once.
+std::vector<fixed::raw_t> reward_image(const env::Environment& env,
+                                       const AddressMap& map,
+                                       fixed::Format fmt);
 
 /// Validates a config against an environment; aborts on invalid setups
 /// (non-power-of-two actions, out-of-range rates, formats too narrow).

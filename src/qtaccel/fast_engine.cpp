@@ -43,17 +43,7 @@ FastEngine::FastEngine(const env::Environment& env,
   if (config.algorithm == Algorithm::kDoubleQ) {
     q2_.assign(map_.depth(), 0);
   }
-  reward_.assign(map_.depth(), 0);
-  // Host-side initialization boundary: quantizing the environment's
-  // double rewards into the BRAM image, exactly as Pipeline::init_tables.
-  // qtlint: push-allow(datapath-purity)
-  for (StateId s = 0; s < env.num_states(); ++s) {
-    for (ActionId a = 0; a < env.num_actions(); ++a) {
-      reward_[map_.q_addr(s, a)] =
-          fixed::from_double(env.reward(s, a), config.q_fmt);
-    }
-  }
-  // qtlint: pop-allow(datapath-purity)
+  reward_ = reward_image(env, map_, config.q_fmt);
   qmax_value_.assign(env.num_states(), 0);
   qmax_action_.assign(env.num_states(), 0);
 

@@ -385,16 +385,7 @@ std::shared_ptr<const LaneEngine::EnvImage> LaneEngine::build_env_image(
   image->q_fmt = q_fmt;
   image->num_states = env.num_states();
   image->num_actions = env.num_actions();
-  image->reward.assign(image->map.depth(), 0);
-  // Host-side initialization boundary, as in FastEngine's constructor.
-  // qtlint: push-allow(datapath-purity)
-  for (StateId s = 0; s < env.num_states(); ++s) {
-    for (ActionId a = 0; a < env.num_actions(); ++a) {
-      image->reward[image->map.q_addr(s, a)] =
-          fixed::from_double(env.reward(s, a), q_fmt);
-    }
-  }
-  // qtlint: pop-allow(datapath-purity)
+  image->reward = reward_image(env, image->map, q_fmt);
   image->terminal.assign(env.num_states(), 0);
   for (StateId s = 0; s < env.num_states(); ++s) {
     image->terminal[s] = env.is_terminal(s) ? 1 : 0;

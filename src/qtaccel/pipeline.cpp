@@ -97,11 +97,10 @@ Pipeline::Pipeline(const env::Environment& env, const PipelineConfig& config,
 }
 
 void Pipeline::init_tables() {
-  for (StateId s = 0; s < env_.num_states(); ++s) {
-    for (ActionId a = 0; a < env_.num_actions(); ++a) {
-      r_table_->preset(map_.q_addr(s, a),
-                       fixed::from_double(env_.reward(s, a), config_.q_fmt));
-    }
+  const std::vector<fixed::raw_t> rewards =
+      reward_image(env_, map_, config_.q_fmt);
+  for (std::uint64_t addr = 0; addr < rewards.size(); ++addr) {
+    r_table_->preset(addr, rewards[addr]);
   }
   // A fresh pipeline starts a conservative all-dirty epoch: nothing has
   // been checkpointed yet, so every row must go into the next full image.

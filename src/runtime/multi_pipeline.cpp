@@ -79,11 +79,10 @@ SharedTablePipelines::SharedTablePipelines(const env::Environment& env,
       "engine has no port-level table sharing or collision model (set "
       "config.backend = Backend::kCycleAccurate, or use "
       "IndependentPipelines for fast fleets)");
-  for (StateId s = 0; s < env.num_states(); ++s) {
-    for (ActionId a = 0; a < env.num_actions(); ++a) {
-      r_.preset(map_.q_addr(s, a),
-                fixed::from_double(env.reward(s, a), config.q_fmt));
-    }
+  const std::vector<fixed::raw_t> rewards =
+      qtaccel::reward_image(env, map_, config.q_fmt);
+  for (std::uint64_t addr = 0; addr < rewards.size(); ++addr) {
+    r_.preset(addr, rewards[addr]);
   }
   for (unsigned p = 0; p < num_pipelines; ++p) {
     qtaccel::PipelineConfig pc = config;

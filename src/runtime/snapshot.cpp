@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -273,28 +274,81 @@ constexpr char kV3EndSentinel[8] = {'Q', 'S', 'N', 'A', 'P', 'E', 'N', 'D'};
 constexpr std::uint8_t kV3KindFull = 0;
 constexpr std::uint8_t kV3KindDelta = 1;
 
-/// Buffered little-endian writer: one os.write at the end keeps the
-/// serialize path a straight memcpy loop.
+// The v3 size model (docs/runtime.md): 20 prolog bytes, then kind (1),
+// fingerprint (71) and registers (193); a full image adds four u64 table
+// counts, a delta adds has_q2 (1) and a u64 row count; both end with the
+// sentinel and '\n' (9). Words and delta row records come on top.
+constexpr std::size_t kV3FullFixedBytes = 20 + 1 + 71 + 193 + 4 * 8 + 9;
+constexpr std::size_t kV3DeltaFixedBytes = 20 + 1 + 71 + 193 + 1 + 8 + 9;
+static_assert(kV3FullFixedBytes == 326 && kV3DeltaFixedBytes == 303);
+
+/// A host word in little-endian byte order, and back (the swap is its
+/// own inverse); the identity on little-endian hosts.
+template <typename T>
+T le(T v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    T out = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out = static_cast<T>((out << 8) | ((v >> (8 * i)) & 0xff));
+    }
+    return out;
+  }
+  return v;
+}
+
+/// Little-endian writer into one string reserved to the image's exact
+/// size: fixed-width fields are single appends, tables and delta rows
+/// are one append each, and the finished string has no slack capacity.
 class BinWriter {
  public:
+  BinWriter(std::size_t bytes, std::uint8_t kind) : bytes_(bytes) {
+    buf_.reserve(bytes);
+    buf_ += kSnapshotMagic;
+    buf_ += ' ';
+    buf_ += kSnapshotVersionV3;
+    buf_ += '\n';
+    u8(kind);
+  }
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void end_sentinel() { buf_.append(kV3EndSentinel, sizeof(kV3EndSentinel)); }
-  void flush(std::ostream& os) {
-    os.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+  /// `n` values, each widened to one u64 word.
+  template <typename T>
+  void words(const T* v, std::size_t n) {
+    if constexpr (sizeof(T) == 8 &&
+                  std::endian::native == std::endian::little) {
+      buf_.append(reinterpret_cast<const char*>(v), 8 * n);
+    } else {
+      const std::size_t at = buf_.size();
+      buf_.resize(at + 8 * n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto word = le(static_cast<std::uint64_t>(v[i]));
+        std::memcpy(buf_.data() + at + 8 * i, &word, 8);
+      }
+    }
+  }
+  /// A counted table: u64 count, then the words.
+  template <typename T>
+  void table(const std::vector<T>& v) {
+    u64(v.size());
+    words(v.data(), v.size());
+  }
+  std::string finish() {
+    buf_.append(kV3EndSentinel, sizeof(kV3EndSentinel));
+    buf_ += '\n';
+    QTA_CHECK(buf_.size() == bytes_);  // the size model is exact
+    return std::move(buf_);
   }
 
  private:
+  template <typename T>
+  void put(T v) {
+    v = le(v);
+    buf_.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  }
+
+  std::size_t bytes_;
   std::string buf_;
 };
 
@@ -316,36 +370,35 @@ class BinReader {
     if (!ok) fail(msg);
   }
 
-  std::uint8_t u8() {
-    char b;
-    raw(&b, 1);
-    return static_cast<std::uint8_t>(b);
-  }
-  std::uint32_t u32() {
-    char b[4];
-    raw(b, 4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(b[i]))
-           << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    char b[8];
-    raw(b, 8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[i]))
-           << (8 * i);
-    }
-    return v;
-  }
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+
+  /// Reads `n` u64 words into `out` in one bulk read, then validates
+  /// them in stream order: `bad(i, word)` returns the failure message
+  /// for word i, or nullptr. Offsets match a word-at-a-time reader: a
+  /// bad word fails just past itself, and a short read fails at the
+  /// first missing word once the whole words before it have passed.
+  template <typename Bad>
+  void words(std::uint64_t* out, std::size_t n, Bad bad) {
+    const std::size_t got = read(reinterpret_cast<char*>(out), 8 * n);
+    const std::size_t whole = got / 8;
+    for (std::size_t i = 0; i < whole; ++i) {
+      out[i] = le(out[i]);
+      if (const char* msg = bad(i, out[i])) {
+        offset_ += 8 * (i + 1);
+        fail(msg);
+      }
+    }
+    offset_ += 8 * whole;
+    if (whole < n) fail("truncated snapshot payload");
+  }
 
   void expect_end_sentinel() {
     char b[sizeof(kV3EndSentinel)];
-    raw(b, sizeof(kV3EndSentinel));
+    if (read(b, sizeof(b)) != sizeof(b)) fail("truncated snapshot payload");
+    offset_ += sizeof(b);
     for (std::size_t i = 0; i < sizeof(kV3EndSentinel); ++i) {
       check(b[i] == kV3EndSentinel[i], "malformed snapshot end sentinel");
     }
@@ -355,24 +408,29 @@ class BinReader {
   }
 
  private:
-  void raw(char* out, std::size_t n) {
-    is_.read(out, static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(is_.gcount()) != n) {
+  /// Up to `n` bytes straight from the stream buffer; a short read
+  /// leaves the stream failed, as istream::read would.
+  std::size_t read(char* out, std::size_t n) {
+    const auto got = static_cast<std::size_t>(
+        is_.rdbuf()->sgetn(out, static_cast<std::streamsize>(n)));
+    if (got < n) is_.setstate(std::ios::eofbit | std::ios::failbit);
+    return got;
+  }
+
+  template <typename T>
+  T get() {
+    T v;
+    if (read(reinterpret_cast<char*>(&v), sizeof(v)) != sizeof(v)) {
       fail("truncated snapshot payload");
     }
-    offset_ += n;
+    offset_ += sizeof(v);
+    return le(v);
   }
 
   std::istream& is_;
   const SnapshotSource& src_;
   std::uint64_t offset_ = 0;
 };
-
-void write_v3_prolog_and_kind(std::ostream& os, BinWriter& w,
-                              std::uint8_t kind) {
-  os << kSnapshotMagic << ' ' << kSnapshotVersionV3 << '\n';
-  w.u8(kind);
-}
 
 void write_v3_fingerprint(BinWriter& w, const qtaccel::PipelineConfig& config,
                           const env::Environment& env) {
@@ -475,6 +533,17 @@ void read_v3_registers(BinReader& r, qtaccel::MachineState& ms,
   for (auto& v : ms.dsp_saturations) v = r.u64();
 }
 
+/// BinReader::words validator for Q-table words in format `qf`.
+auto value_check(fixed::Format qf) {
+  return [lo = qf.min_raw(), hi = qf.max_raw()](
+             std::size_t, std::uint64_t w) -> const char* {
+    const auto v = static_cast<fixed::raw_t>(w);
+    return v >= lo && v <= hi
+               ? nullptr
+               : "snapshot value outside the fixed-point range";
+  };
+}
+
 /// v3 full-image table block: the kind byte and fingerprint/registers
 /// have already been consumed.
 qtaccel::MachineState read_v3_full_body(BinReader& r,
@@ -486,18 +555,19 @@ qtaccel::MachineState read_v3_full_body(BinReader& r,
 
   const qtaccel::AddressMap map = qtaccel::make_address_map(env);
   const std::uint64_t depth = map.depth();
-  const fixed::Format qf = config.q_fmt;
-  const auto read_table = [&](std::uint64_t expected, bool may_be_empty,
-                              std::vector<fixed::raw_t>& out) {
+  const auto out_of_range = value_check(config.q_fmt);
+  const auto read_count = [&](std::uint64_t expected, bool may_be_empty) {
     const std::uint64_t count = r.u64();
     r.check(count == expected || (may_be_empty && count == 0),
             "snapshot table size does not match the engine's geometry");
-    out.resize(count);
-    for (auto& v : out) {
-      v = r.i64();
-      r.check(v >= qf.min_raw() && v <= qf.max_raw(),
-              "snapshot value outside the fixed-point range");
-    }
+    return count;
+  };
+  const auto read_table = [&](std::uint64_t expected, bool may_be_empty,
+                              std::vector<fixed::raw_t>& out) {
+    out.resize(read_count(expected, may_be_empty));
+    static_assert(sizeof(fixed::raw_t) == sizeof(std::uint64_t));
+    r.words(reinterpret_cast<std::uint64_t*>(out.data()), out.size(),
+            out_of_range);
   };
   read_table(depth, /*may_be_empty=*/false, ms.q);
   read_table(depth, /*may_be_empty=*/true, ms.q2);
@@ -505,14 +575,13 @@ qtaccel::MachineState read_v3_full_body(BinReader& r,
               (config.algorithm != qtaccel::Algorithm::kDoubleQ),
           "snapshot and config disagree on the second Q table");
   read_table(states, /*may_be_empty=*/false, ms.qmax_value);
-  const std::uint64_t qmaxa_count = r.u64();
-  r.check(qmaxa_count == states,
-          "snapshot table size does not match the engine's geometry");
-  ms.qmax_action.resize(qmaxa_count);
-  for (auto& a : ms.qmax_action) {
-    a = static_cast<ActionId>(r.u64());
-    r.check(a < actions, "snapshot Qmax action out of range");
-  }
+  std::vector<std::uint64_t> qmaxa(read_count(states, false));
+  r.words(qmaxa.data(), qmaxa.size(),
+          [&](std::size_t, std::uint64_t a) -> const char* {
+            return a < actions ? nullptr
+                               : "snapshot Qmax action out of range";
+          });
+  ms.qmax_action.assign(qmaxa.begin(), qmaxa.end());
   r.expect_end_sentinel();
   return ms;
 }
@@ -577,37 +646,41 @@ void apply_snapshot_delta_impl(std::istream& is,
   // Registers/stats travel whole in every delta: last delta wins.
   read_v3_registers(r, base, states);
 
-  const fixed::Format qf = config.q_fmt;
   const std::uint8_t has_q2 = r.u8();
   r.check((has_q2 != 0) == double_q,
           "snapshot and config disagree on the second Q table");
   const std::uint64_t row_count = r.u64();
   r.check(row_count <= states,
           "snapshot table size does not match the engine's geometry");
+  // One record per row, read whole: state id, Q row, Q2 row (Double-Q),
+  // Qmax value, Qmax action.
+  const std::size_t q_words = stride * (has_q2 != 0 ? 2 : 1);
+  std::vector<std::uint64_t> rec(1 + q_words + 2);
+  const auto out_of_range = value_check(config.q_fmt);
   std::uint64_t prev_plus_one = 0;  // rows are strictly ascending
   for (std::uint64_t i = 0; i < row_count; ++i) {
-    const std::uint64_t s = r.u64();
-    r.check(s < states && s >= prev_plus_one,
-            "snapshot delta rows out of order");
+    r.words(rec.data(), rec.size(),
+            [&](std::size_t j, std::uint64_t w) -> const char* {
+              if (j == 0) {
+                return w < states && w >= prev_plus_one
+                           ? nullptr
+                           : "snapshot delta rows out of order";
+              }
+              if (j == rec.size() - 1) {
+                return w < actions ? nullptr
+                                   : "snapshot Qmax action out of range";
+              }
+              return out_of_range(j, w);
+            });
+    const std::uint64_t s = rec[0];
     prev_plus_one = s + 1;
-    const std::uint64_t row = s * stride;
-    const auto read_row = [&](std::vector<fixed::raw_t>& table) {
-      for (std::uint64_t j = 0; j < stride; ++j) {
-        const fixed::raw_t v = r.i64();
-        r.check(v >= qf.min_raw() && v <= qf.max_raw(),
-                "snapshot value outside the fixed-point range");
-        table[row + j] = v;
-      }
-    };
-    read_row(base.q);
-    if (has_q2 != 0) read_row(base.q2);
-    const fixed::raw_t qv = r.i64();
-    r.check(qv >= qf.min_raw() && qv <= qf.max_raw(),
-            "snapshot value outside the fixed-point range");
-    base.qmax_value[s] = qv;
-    const std::uint64_t qa = r.u64();
-    r.check(qa < actions, "snapshot Qmax action out of range");
-    base.qmax_action[s] = static_cast<ActionId>(qa);
+    const std::uint64_t* w = rec.data() + 1;
+    std::memcpy(base.q.data() + s * stride, w, 8 * stride);
+    if (has_q2 != 0) {
+      std::memcpy(base.q2.data() + s * stride, w + stride, 8 * stride);
+    }
+    base.qmax_value[s] = static_cast<fixed::raw_t>(w[q_words]);
+    base.qmax_action[s] = static_cast<ActionId>(w[q_words + 1]);
   }
   r.expect_end_sentinel();
   // The reconstructed state is of unknown epoch provenance; hand it to
@@ -662,65 +735,66 @@ void write_snapshot(std::ostream& os, const qtaccel::PipelineConfig& config,
   os << "end\n";
 }
 
+std::string encode_snapshot_v3(const qtaccel::PipelineConfig& config,
+                               const env::Environment& env,
+                               const qtaccel::MachineState& ms) {
+  BinWriter w(kV3FullFixedBytes +
+                  8 * (ms.q.size() + ms.q2.size() + ms.qmax_value.size() +
+                       ms.qmax_action.size()),
+              kV3KindFull);
+  write_v3_fingerprint(w, config, env);
+  write_v3_registers(w, ms);
+  w.table(ms.q);
+  w.table(ms.q2);
+  w.table(ms.qmax_value);
+  w.table(ms.qmax_action);
+  return w.finish();
+}
+
+std::string encode_snapshot_delta(const qtaccel::PipelineConfig& config,
+                                  const env::Environment& env,
+                                  const qtaccel::MachineState& ms) {
+  const qtaccel::AddressMap map = qtaccel::make_address_map(env);
+  const std::uint64_t stride = std::uint64_t{1} << map.action_bits;
+  const std::uint64_t states = env.num_states();
+  const bool has_q2 = !ms.q2.empty();
+  // A conservative epoch (all set, or a bitmap that does not match this
+  // geometry) emits every row — correct, just not compact.
+  const bool emit_all = ms.dirty.all || ms.dirty.rows.size() != states;
+  const std::uint64_t row_count = ms.dirty.count(states);
+  BinWriter w(kV3DeltaFixedBytes +
+                  row_count * 8 * (1 + stride * (has_q2 ? 2 : 1) + 2),
+              kV3KindDelta);
+  write_v3_fingerprint(w, config, env);
+  write_v3_registers(w, ms);
+  w.u8(has_q2 ? 1 : 0);
+  w.u64(row_count);
+  for (std::uint64_t s = 0; s < states; ++s) {
+    if (!emit_all && ms.dirty.rows[s] == 0) continue;
+    w.u64(s);
+    const std::uint64_t row = s * stride;
+    w.words(ms.q.data() + row, stride);
+    if (has_q2) w.words(ms.q2.data() + row, stride);
+    w.i64(ms.qmax_value[s]);
+    w.u64(ms.qmax_action[s]);
+  }
+  return w.finish();
+}
+
 void write_snapshot_v3(std::ostream& os,
                        const qtaccel::PipelineConfig& config,
                        const env::Environment& env,
                        const qtaccel::MachineState& ms) {
-  BinWriter w;
-  write_v3_prolog_and_kind(os, w, kV3KindFull);
-  write_v3_fingerprint(w, config, env);
-  write_v3_registers(w, ms);
-  const auto write_table = [&](const std::vector<fixed::raw_t>& table) {
-    w.u64(table.size());
-    for (const auto v : table) w.i64(v);
-  };
-  write_table(ms.q);
-  write_table(ms.q2);
-  write_table(ms.qmax_value);
-  w.u64(ms.qmax_action.size());
-  for (const auto a : ms.qmax_action) w.u64(a);
-  w.end_sentinel();
-  w.u8(static_cast<std::uint8_t>('\n'));
-  w.flush(os);
+  const std::string bytes = encode_snapshot_v3(config, env, ms);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 void write_snapshot_delta(std::ostream& os,
                           const qtaccel::PipelineConfig& config,
                           const env::Environment& env,
                           const qtaccel::MachineState& ms) {
-  BinWriter w;
-  write_v3_prolog_and_kind(os, w, kV3KindDelta);
-  write_v3_fingerprint(w, config, env);
-  write_v3_registers(w, ms);
-
-  const qtaccel::AddressMap map = qtaccel::make_address_map(env);
-  const std::uint64_t stride = std::uint64_t{1} << map.action_bits;
-  const std::uint64_t states = env.num_states();
-  const bool has_q2 = !ms.q2.empty();
-  w.u8(has_q2 ? 1 : 0);
-
-  // A conservative epoch (all set, or a bitmap that does not match this
-  // geometry) emits every row — correct, just not compact.
-  const bool emit_all = ms.dirty.all || ms.dirty.rows.size() != states;
-  std::uint64_t row_count = 0;
-  for (std::uint64_t s = 0; s < states; ++s) {
-    if (emit_all || ms.dirty.rows[s] != 0) ++row_count;
-  }
-  w.u64(row_count);
-  for (std::uint64_t s = 0; s < states; ++s) {
-    if (!emit_all && ms.dirty.rows[s] == 0) continue;
-    w.u64(s);
-    const std::uint64_t row = s * stride;
-    for (std::uint64_t j = 0; j < stride; ++j) w.i64(ms.q[row + j]);
-    if (has_q2) {
-      for (std::uint64_t j = 0; j < stride; ++j) w.i64(ms.q2[row + j]);
-    }
-    w.i64(ms.qmax_value[s]);
-    w.u64(ms.qmax_action[s]);
-  }
-  w.end_sentinel();
-  w.u8(static_cast<std::uint8_t>('\n'));
-  w.flush(os);
+  const std::string bytes = encode_snapshot_delta(config, env, ms);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 qtaccel::MachineState read_snapshot(std::istream& is,

@@ -105,6 +105,16 @@ void write_snapshot_delta(std::ostream& os,
                           const env::Environment& env,
                           const qtaccel::MachineState& ms);
 
+/// write_snapshot_v3 / write_snapshot_delta into a fresh string whose
+/// capacity is exactly the image's size (the v3 size model in
+/// docs/runtime.md): the form parked sessions keep as cold blobs.
+std::string encode_snapshot_v3(const qtaccel::PipelineConfig& config,
+                               const env::Environment& env,
+                               const qtaccel::MachineState& ms);
+std::string encode_snapshot_delta(const qtaccel::PipelineConfig& config,
+                                  const env::Environment& env,
+                                  const qtaccel::MachineState& ms);
+
 /// Parses a v2 text or v3 binary FULL snapshot (sniffed from the
 /// version token) and validates its fingerprint against `config`/`env`;
 /// aborts with a diagnostic on a foreign magic, an unsupported version,

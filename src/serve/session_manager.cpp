@@ -1,6 +1,8 @@
 #include "serve/session_manager.h"
 
 #include <chrono>
+#include <istream>
+#include <streambuf>
 #include <sstream>
 #include <utility>
 
@@ -9,6 +11,20 @@
 #include "runtime/snapshot.h"
 
 namespace qta::serve {
+
+namespace {
+
+/// Reads a cold blob in place; istringstream would copy it first.
+class BlobStream : private std::streambuf, public std::istream {
+ public:
+  explicit BlobStream(const std::string& blob) : std::istream(this) {
+    // The get area is only read: istream never writes through it.
+    char* p = const_cast<char*>(blob.data());
+    setg(p, p, p + blob.size());
+  }
+};
+
+}  // namespace
 
 SessionManager::SessionManager(unsigned max_hot,
                                telemetry::MetricsRegistry* metrics,
@@ -216,16 +232,17 @@ void SessionManager::make_cold(SessionId id, Session& s,
 void SessionManager::serialize_park(PendingPark& park) {
   const auto t0 = std::chrono::steady_clock::now();
   const runtime::Engine& e = *park.engine;
-  std::ostringstream os;
   if (park.delta) {
-    runtime::write_snapshot_delta(os, e.config(), e.environment(),
-                                  e.save_state());
+    park.blob = runtime::encode_snapshot_delta(e.config(), e.environment(),
+                                               e.save_state());
   } else if (park.format == ParkFormat::kV3Binary) {
-    runtime::save_snapshot_v3(e, os);
+    park.blob = runtime::encode_snapshot_v3(e.config(), e.environment(),
+                                            e.save_state());
   } else {
+    std::ostringstream os;
     runtime::save_snapshot(e, os);
+    park.blob = std::move(os).str();
   }
-  park.blob = std::move(os).str();
   park.serialize_us = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -319,13 +336,13 @@ void SessionManager::cancel_pending_park(SessionId id) {
 void SessionManager::restore_chain(Session& s) {
   if (!s.cold.base_is_v3 && s.cold.deltas.empty()) {
     // Pure-v2 cold: the exact historical restore path.
-    std::istringstream is(s.cold.base);
+    BlobStream is(s.cold.base);
     runtime::load_snapshot(*s.engine, is);
     if (restore_bytes_v2_full_ != nullptr) {
       restore_bytes_v2_full_->inc(s.cold.base.size());
     }
   } else {
-    std::istringstream is(s.cold.base);
+    BlobStream is(s.cold.base);
     qtaccel::MachineState ms =
         runtime::read_snapshot(is, s.config, *s.env);
     telemetry::Counter* base_counter = s.cold.base_is_v3
@@ -333,7 +350,7 @@ void SessionManager::restore_chain(Session& s) {
                                            : restore_bytes_v2_full_;
     if (base_counter != nullptr) base_counter->inc(s.cold.base.size());
     for (const std::string& delta : s.cold.deltas) {
-      std::istringstream ds(delta);
+      BlobStream ds(delta);
       runtime::apply_snapshot_delta(ds, s.config, *s.env, ms);
       if (restore_bytes_v3_delta_ != nullptr) {
         restore_bytes_v3_delta_->inc(delta.size());
@@ -347,10 +364,10 @@ void SessionManager::restore_chain(Session& s) {
 }
 
 std::string SessionManager::chain_as_v2_text(const Session& s) const {
-  std::istringstream is(s.cold.base);
+  BlobStream is(s.cold.base);
   qtaccel::MachineState ms = runtime::read_snapshot(is, s.config, *s.env);
   for (const std::string& delta : s.cold.deltas) {
-    std::istringstream ds(delta);
+    BlobStream ds(delta);
     runtime::apply_snapshot_delta(ds, s.config, *s.env, ms);
   }
   std::ostringstream os;

@@ -79,6 +79,14 @@ int tcp_listen(std::uint16_t port, std::uint16_t* bound_port,
   return fd;
 }
 
+int tcp_accept(int listen_fd) {
+  const int fd = ::accept(listen_fd, nullptr, nullptr);
+  if (fd < 0) return kInvalidSocket;
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
+}
+
 int tcp_connect(const std::string& host, std::uint16_t port,
                 std::string* error) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);

@@ -22,6 +22,12 @@ inline constexpr int kInvalidSocket = -1;
 int tcp_listen(std::uint16_t port, std::uint16_t* bound_port,
                std::string* error);
 
+/// ::accept on `listen_fd` with TCP_NODELAY set on the new socket, as
+/// tcp_connect sets it on the client side: small reply frames must not
+/// wait out Nagle behind the peer's delayed ACK. kInvalidSocket when
+/// nothing is pending (nonblocking listener) or on error.
+int tcp_accept(int listen_fd);
+
 /// Blocking connect to `host`:`port`.
 int tcp_connect(const std::string& host, std::uint16_t port,
                 std::string* error);

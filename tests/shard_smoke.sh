@@ -10,7 +10,7 @@
 #   2. Killing a worker mid-run is survivable: the dead shard's parked
 #      images + replay logs reconstruct its sessions on the survivors,
 #      and the post-kill rounds still verify bit-exact.
-#   3. Shutdown drains the whole fleet (router exit 0).
+#   3. Shutdown drains the whole fleet (router and workers exit 0).
 #
 # Usage: shard_smoke.sh <qtserved> <qtrouterd> <qtclient>
 set -euo pipefail
@@ -63,8 +63,18 @@ done
   --sessions=32 --rounds=4 --steps=128 --algorithm=q_learning \
   --verify --mid-run-cmd="kill ${WORKER_PIDS[2]}"
 
-# 3. Clean fleet-wide shutdown.
+# 3. Clean fleet-wide shutdown: the router exits 0, and every surviving
+#    worker exits 0 on the relayed Shutdown by itself (none is left for
+#    the cleanup trap to kill).
 "$QTCLIENT" --shards="127.0.0.1:$RPORT" \
   --sessions=1 --rounds=1 --steps=32 --shutdown
 wait "$ROUTER"
+for pid in "${WORKER_PIDS[0]}" "${WORKER_PIDS[1]}"; do
+  for _ in $(seq 100); do kill -0 "$pid" 2>/dev/null || break; sleep 0.1; done
+  if kill -0 "$pid" 2>/dev/null; then
+    echo "shard_smoke: worker $pid never saw the relayed Shutdown"
+    exit 1
+  fi
+  wait "$pid" || { echo "shard_smoke: worker $pid exited non-zero"; exit 1; }
+done
 echo "shard_smoke: OK"

@@ -786,5 +786,240 @@ TEST(SnapshotV3, TryApplyDeltaReportsFailuresWithoutAborting) {
   }
 }
 
+// --- v3 format freeze ---
+//
+// tests/data/snapshot_v3_*.bin were written by the original word-at-a-
+// time v3 codec from the engines golden_engine() builds: a full image
+// after kGoldenBase samples, then a delta over the next kGoldenEpoch.
+// The writer must keep reproducing them byte for byte and the reader
+// must keep decoding them to the same machine state; the byte offsets
+// below follow from the grammar in docs/runtime.md.
+
+constexpr std::uint64_t kGoldenBase = 1500;
+constexpr std::uint64_t kGoldenEpoch = 40;
+
+env::GridWorldConfig golden_grid() {
+  env::GridWorldConfig c;
+  c.width = 4;
+  c.height = 8;
+  c.num_actions = 4;
+  return c;
+}
+
+qtaccel::PipelineConfig golden_config(qtaccel::Algorithm algorithm) {
+  qtaccel::PipelineConfig c;
+  c.algorithm = algorithm;
+  c.backend = qtaccel::Backend::kFast;
+  c.seed = 5;
+  c.max_episode_length = 64;
+  return c;
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(QTA_TEST_DATA_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << name;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+std::string golden_prefix(qtaccel::Algorithm algorithm) {
+  return algorithm == qtaccel::Algorithm::kDoubleQ ? "snapshot_v3_double_q"
+                                                   : "snapshot_v3_q_learning";
+}
+
+std::string as_v2_text(const qtaccel::PipelineConfig& c,
+                       const env::Environment& env,
+                       const qtaccel::MachineState& ms) {
+  std::ostringstream os;
+  write_snapshot(os, c, env, ms);
+  return os.str();
+}
+
+TEST(SnapshotV3Golden, WriterReproducesCommittedImages) {
+  env::GridWorld world(golden_grid());
+  for (const auto algorithm : {qtaccel::Algorithm::kQLearning,
+                               qtaccel::Algorithm::kDoubleQ}) {
+    const qtaccel::PipelineConfig c = golden_config(algorithm);
+    const std::string prefix = golden_prefix(algorithm);
+    Engine e(world, c);
+    e.run_samples(kGoldenBase);
+    std::ostringstream full;
+    save_snapshot_v3(e, full);
+    EXPECT_EQ(full.str(), read_golden(prefix + "_full.bin")) << prefix;
+    e.reset_dirty_rows();
+    e.run_samples(kGoldenBase + kGoldenEpoch);
+    std::ostringstream delta;
+    write_snapshot_delta(delta, c, world, e.save_state());
+    EXPECT_EQ(delta.str(), read_golden(prefix + "_delta.bin")) << prefix;
+  }
+}
+
+TEST(SnapshotV3Golden, ReaderDecodesCommittedImagesToTheSameState) {
+  env::GridWorld world(golden_grid());
+  for (const auto algorithm : {qtaccel::Algorithm::kQLearning,
+                               qtaccel::Algorithm::kDoubleQ}) {
+    const qtaccel::PipelineConfig c = golden_config(algorithm);
+    const std::string prefix = golden_prefix(algorithm);
+    Engine e(world, c);
+    e.run_samples(kGoldenBase);
+    std::istringstream full(read_golden(prefix + "_full.bin"));
+    qtaccel::MachineState ms = read_snapshot(full, c, world);
+    EXPECT_EQ(as_v2_text(c, world, ms), as_v2_text(c, world, e.save_state()))
+        << prefix;
+    e.run_samples(kGoldenBase + kGoldenEpoch);
+    std::istringstream delta(read_golden(prefix + "_delta.bin"));
+    apply_snapshot_delta(delta, c, world, ms);
+    EXPECT_EQ(as_v2_text(c, world, ms), as_v2_text(c, world, e.save_state()))
+        << prefix;
+  }
+}
+
+// Payload offsets (counted from the byte after the "v3\n" prolog): kind
+// 1 + fingerprint 71 + registers 193 = 265. A full image's q table
+// words start after its u64 count; a delta's first row record starts
+// after has_q2 (1) and the u64 row count.
+constexpr std::size_t kV3PrologBytes = 20;  // "QTACCEL-SNAPSHOT v3\n"
+constexpr std::size_t kV3FullQWords = 265 + 8;
+constexpr std::size_t kV3DeltaRows = 265 + 1 + 8;
+
+std::string load_error(const qtaccel::PipelineConfig& c,
+                       const env::Environment& world,
+                       const std::string& bytes) {
+  Engine target(world, c);
+  std::istringstream in(bytes);
+  std::string error;
+  EXPECT_FALSE(try_load_snapshot(target, in, &error));
+  return error;
+}
+
+std::string delta_error(const qtaccel::PipelineConfig& c,
+                        const env::Environment& world,
+                        const std::string& delta) {
+  std::istringstream base(read_golden(
+      golden_prefix(c.algorithm) + "_full.bin"));
+  qtaccel::MachineState ms = read_snapshot(base, c, world);
+  std::istringstream in(delta);
+  std::string error;
+  EXPECT_FALSE(try_apply_snapshot_delta(in, c, world, ms, &error));
+  return error;
+}
+
+void put_word(std::string& bytes, std::size_t payload_offset,
+              std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[kV3PrologBytes + payload_offset + i] =
+        static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+TEST(SnapshotV3Golden, BadWordReportsItsOwnOffset) {
+  env::GridWorld world(golden_grid());
+  const auto c = golden_config(qtaccel::Algorithm::kQLearning);
+  const std::uint64_t out_of_range = std::uint64_t{1} << 40;
+  {
+    // Word 64 of the 128-word q table: the offset is just past it.
+    std::string bad = read_golden("snapshot_v3_q_learning_full.bin");
+    put_word(bad, kV3FullQWords + 8 * 64, out_of_range);
+    EXPECT_EQ(load_error(c, world, bad),
+              "snapshot value outside the fixed-point range at byte " +
+                  std::to_string(kV3FullQWords + 8 * 65));
+  }
+  {
+    // A Qmax action past the action count, mid qmaxa table: after the
+    // q, q2 (empty) and qmaxv tables and the qmaxa count.
+    const std::size_t qmaxa = kV3FullQWords + 8 * 128 + 8 + 8 + 8 * 32 + 8;
+    std::string bad = read_golden("snapshot_v3_q_learning_full.bin");
+    put_word(bad, qmaxa + 8 * 17, 4);
+    EXPECT_EQ(load_error(c, world, bad),
+              "snapshot Qmax action out of range at byte " +
+                  std::to_string(qmaxa + 8 * 18));
+  }
+  for (const auto algorithm : {qtaccel::Algorithm::kQLearning,
+                               qtaccel::Algorithm::kDoubleQ}) {
+    // Word 2 of the first Q row of the second delta record (state id,
+    // q row, q2 row for Double-Q, Qmax value and action).
+    const auto dc = golden_config(algorithm);
+    const std::size_t record =
+        8 * (1 + 4 * (algorithm == qtaccel::Algorithm::kDoubleQ ? 2 : 1) + 2);
+    const std::size_t word = kV3DeltaRows + record + 8 + 8 * 2;
+    std::string bad = read_golden(golden_prefix(algorithm) + "_delta.bin");
+    put_word(bad, word, out_of_range);
+    EXPECT_EQ(delta_error(dc, world, bad),
+              "snapshot value outside the fixed-point range at byte " +
+                  std::to_string(word + 8))
+        << golden_prefix(algorithm);
+  }
+  {
+    // A delta row state id that does not ascend fails on that word.
+    std::string bad = read_golden("snapshot_v3_q_learning_delta.bin");
+    put_word(bad, kV3DeltaRows + 56, 0);
+    EXPECT_EQ(delta_error(c, world, bad),
+              "snapshot delta rows out of order at byte " +
+                  std::to_string(kV3DeltaRows + 56 + 8));
+  }
+}
+
+TEST(SnapshotV3Golden, TruncationInsideABulkReadNamesTheFirstMissingWord) {
+  env::GridWorld world(golden_grid());
+  const auto c = golden_config(qtaccel::Algorithm::kQLearning);
+  {
+    // Three bytes into q word 10: words 0-9 decoded, word 10 is missing.
+    const std::string good = read_golden("snapshot_v3_q_learning_full.bin");
+    EXPECT_EQ(load_error(c, world,
+                         good.substr(0, kV3PrologBytes + kV3FullQWords +
+                                            8 * 10 + 3)),
+              "truncated snapshot payload at byte " +
+                  std::to_string(kV3FullQWords + 8 * 10));
+  }
+  {
+    // A bad word before the cut still wins: reading is in stream order.
+    std::string bad = read_golden("snapshot_v3_q_learning_full.bin");
+    put_word(bad, kV3FullQWords + 8 * 3, std::uint64_t{1} << 40);
+    EXPECT_EQ(load_error(c, world,
+                         bad.substr(0, kV3PrologBytes + kV3FullQWords +
+                                           8 * 10 + 3)),
+              "snapshot value outside the fixed-point range at byte " +
+                  std::to_string(kV3FullQWords + 8 * 4));
+  }
+  {
+    // Mid second delta record, five bytes into its Qmax value word.
+    const std::string good =
+        read_golden("snapshot_v3_q_learning_delta.bin");
+    const std::size_t qmaxv = kV3DeltaRows + 56 + 8 + 8 * 4;
+    EXPECT_EQ(delta_error(c, world,
+                          good.substr(0, kV3PrologBytes + qmaxv + 5)),
+              "truncated snapshot payload at byte " + std::to_string(qmaxv));
+  }
+}
+
+TEST(SnapshotV3Golden, SectionsInAStreamReadWithoutOverreading) {
+  // A pool checkpoint stream packs v3 and v2 sections back to back; each
+  // read must stop exactly at its own end sentinel and newline.
+  env::GridWorld world(golden_grid());
+  const auto q = golden_config(qtaccel::Algorithm::kQLearning);
+  const auto dq = golden_config(qtaccel::Algorithm::kDoubleQ);
+  const std::string q_full = read_golden("snapshot_v3_q_learning_full.bin");
+  const std::string dq_full = read_golden("snapshot_v3_double_q_full.bin");
+  Engine text_engine(world, q);
+  text_engine.run_samples(700);
+  std::ostringstream text;
+  save_snapshot(text_engine, text);
+
+  std::istringstream pool(q_full + text.str() + dq_full + q_full + "tail\n");
+  std::istringstream q_in(q_full), dq_in(dq_full);
+  const std::string q_state = as_v2_text(q, world, read_snapshot(q_in, q, world));
+  const std::string dq_state =
+      as_v2_text(dq, world, read_snapshot(dq_in, dq, world));
+  EXPECT_EQ(as_v2_text(q, world, read_snapshot(pool, q, world)), q_state);
+  EXPECT_EQ(as_v2_text(q, world, read_snapshot(pool, q, world)), text.str());
+  EXPECT_EQ(as_v2_text(dq, world, read_snapshot(pool, dq, world)), dq_state);
+  EXPECT_EQ(as_v2_text(q, world, read_snapshot(pool, q, world)), q_state);
+  std::string tail;
+  pool >> tail;
+  EXPECT_EQ(tail, "tail");
+}
+
 }  // namespace
 }  // namespace qta::runtime

@@ -133,5 +133,53 @@ TEST(ThreadPoolTest, ExecutionIsDeterministicRegardlessOfSchedule) {
   EXPECT_EQ(a, b);
 }
 
+// Regression for a cross-batch race: a worker that slept through batch
+// k could wake after parallel_for(k) returned, pick up batch k's dead
+// closure pointer, and then run batch k+1's items with it. Back-to-back
+// 1-3 item batches make such late wake-ups common. Each batch's closure
+// (and the state it points at) lives in a frame at a different stack
+// depth, so a stale pointer reaches a dead frame instead of happening to
+// alias the live closure: the stale call then sees the wrong batch id or
+// the live batch misses an item.
+std::atomic<std::uint64_t> g_live_batch{0};
+
+struct Batch {
+  std::uint64_t id = 0;
+  std::atomic<int> hits[3] = {};
+  std::atomic<int>* wrong = nullptr;
+};
+
+void submit_at_depth(ThreadPool& pool, unsigned depth, std::uint64_t id,
+                     std::atomic<int>& wrong) {
+  if (depth > 0) {
+    volatile char pad[512];
+    pad[0] = static_cast<char>(depth);
+    submit_at_depth(pool, depth - 1, id, wrong);
+    if (pad[0] != static_cast<char>(depth)) ++wrong;  // keeps the frame
+    return;
+  }
+  Batch batch;
+  batch.id = id;
+  batch.wrong = &wrong;
+  const std::size_t count = 1 + id % 3;
+  pool.parallel_for(count, [b = &batch](std::size_t i) {
+    if (g_live_batch.load() != b->id) ++*b->wrong;
+    ++b->hits[i];
+  });
+  for (std::size_t i = 0; i < count; ++i) {
+    if (batch.hits[i].load() != 1) ++wrong;
+  }
+}
+
+TEST(ThreadPoolTest, BackToBackSmallBatchesNeverRunAStaleClosure) {
+  ThreadPool pool(4);
+  std::atomic<int> wrong{0};
+  for (std::uint64_t id = 1; id <= 20000; ++id) {
+    g_live_batch.store(id);
+    submit_at_depth(pool, static_cast<unsigned>(id * 7 % 5) * 2, id, wrong);
+  }
+  EXPECT_EQ(wrong.load(), 0);
+}
+
 }  // namespace
 }  // namespace qta

@@ -26,8 +26,9 @@
 // scrape-and-plan pass, daemon-side because it needs sockets).
 //
 // A client Shutdown request shuts down the whole fleet: the router
-// relays Shutdown to every worker and the daemon exits once every
-// output buffer drains.
+// relays Shutdown to every worker and the daemon exits once the client
+// replies drain and every worker has closed its connection (or 5 s
+// have passed).
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -330,6 +331,8 @@ int main(int argc, char** argv) {
 
   std::list<HttpConnection> http_conns;
   shard::ClientId next_client = 1;
+  constexpr auto kShutdownGrace = std::chrono::seconds(5);
+  std::optional<std::chrono::steady_clock::time_point> shutdown_deadline;
 
   while (true) {
     std::vector<pollfd> fds;
@@ -369,18 +372,31 @@ int main(int argc, char** argv) {
     }
 
     if (router.shutdown_requested()) {
-      bool flushed = true;
+      // Exit once the client replies are flushed AND every worker has
+      // closed its end (it read the relayed Shutdown, drained and
+      // exited). Closing first would hang up on a worker that has not
+      // read its Shutdown yet. Bounded, so a wedged worker or client
+      // cannot hold the router forever.
+      const auto now = std::chrono::steady_clock::now();
+      if (!shutdown_deadline.has_value()) {
+        shutdown_deadline = now + kShutdownGrace;
+      }
+      bool done = true;
       for (auto& [id, conn] : client_conns) {
-        if (!conn->outbuf.empty()) flushed = false;
+        if (!conn->outbuf.empty()) done = false;
       }
       for (auto& w : workers) {
-        if (!w->dead && !w->outbuf.empty()) flushed = false;
+        if (!w->dead) done = false;
       }
-      if (flushed) break;
+      if (done || now >= *shutdown_deadline) break;
     }
 
-    int timeout_ms = router.shutdown_requested() ? 0 : -1;
-    if (rebalance_ms > 0 && scrapable && timeout_ms != 0) {
+    int timeout_ms = -1;
+    if (shutdown_deadline.has_value()) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          *shutdown_deadline - std::chrono::steady_clock::now());
+      timeout_ms = static_cast<int>(std::max<std::int64_t>(0, left.count()));
+    } else if (rebalance_ms > 0 && scrapable) {
       const auto until = std::chrono::duration_cast<std::chrono::milliseconds>(
           next_rebalance - std::chrono::steady_clock::now());
       timeout_ms = static_cast<int>(std::max<std::int64_t>(
@@ -396,7 +412,7 @@ int main(int argc, char** argv) {
     if (listen_fd != serve::kInvalidSocket) {
       if ((fds[idx].revents & POLLIN) != 0) {
         while (true) {
-          const int fd = ::accept(listen_fd, nullptr, nullptr);
+          const int fd = serve::tcp_accept(listen_fd);
           if (fd < 0) break;
           auto conn = std::make_unique<Peer>();
           conn->fd = fd;
@@ -464,7 +480,7 @@ int main(int argc, char** argv) {
     if (http_fd != serve::kInvalidSocket) {
       if ((fds[http_listen_idx].revents & POLLIN) != 0) {
         while (true) {
-          const int fd = ::accept(http_fd, nullptr, nullptr);
+          const int fd = serve::tcp_accept(http_fd);
           if (fd < 0) break;
           HttpConnection conn;
           conn.fd = fd;

@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
     if (listen_fd != serve::kInvalidSocket) {
       if ((fds[idx].revents & POLLIN) != 0) {
         while (true) {
-          const int fd = ::accept(listen_fd, nullptr, nullptr);
+          const int fd = serve::tcp_accept(listen_fd);
           if (fd < 0) break;
           Connection conn;
           conn.fd = fd;
@@ -292,7 +292,10 @@ int main(int argc, char** argv) {
       const short revents = fds[idx++].revents;
       if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
         if (!read_some(conn)) conn.dead = true;
-        while (!conn.dead) {
+        // Frames that arrived before the peer closed still run (e.g. a
+        // Shutdown the router relays just before hanging up); a closed
+        // peer's replies are dropped with its orphaned tickets.
+        while (true) {
           bool oversized = false;
           std::optional<std::string> payload =
               serve::unframe(conn.inbuf, &oversized);
@@ -323,7 +326,7 @@ int main(int argc, char** argv) {
     if (http_fd != serve::kInvalidSocket) {
       if ((fds[http_listen_idx].revents & POLLIN) != 0) {
         while (true) {
-          const int fd = ::accept(http_fd, nullptr, nullptr);
+          const int fd = serve::tcp_accept(http_fd);
           if (fd < 0) break;
           HttpConnection conn;
           conn.fd = fd;
