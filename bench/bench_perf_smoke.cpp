@@ -8,8 +8,10 @@
 //      cycle-accurate Pipeline; and the work-stealing vs static schedules
 //      produce bit-identical per-pipeline tables (results must not depend
 //      on host scheduling).
-//   2. Host throughput (report-only): fast backend >= 20x the
-//      cycle-accurate backend in samples/s, single- and multi-pipeline.
+//   2. Host throughput (report-only): fast backend ns/sample against the
+//      paper's one sample per cycle (~5.6 ns/sample at ~180 MHz), and
+//      its speedup over the cycle-accurate backend, single- and
+//      multi-pipeline.
 //   3. Skew rebalancing (report-only): 16 pipelines (1 large + 15 small)
 //      on 4 threads finish measurably faster under the work-stealing pool
 //      than under the legacy static round-robin partition.
@@ -43,6 +45,9 @@ using namespace qta;
 namespace {
 
 std::vector<std::string> g_divergences;
+
+// The paper's pipeline retires one sample per cycle at ~180 MHz.
+constexpr double kPaperNsPerSample = 5.6;
 
 void check_exact(bool ok, const std::string& what) {
   if (!ok) {
@@ -238,12 +243,17 @@ int main(int argc, char** argv) {
   }
   const double speedup = cycle_sps > 0.0 ? fast_sps / cycle_sps : 0.0;
   const bool target_met = speedup >= 20.0;
+  const double ns_per_sample = fast_sps > 0.0 ? 1e9 / fast_sps : 0.0;
   std::cout << "  speedup: " << speedup << "x (target >= 20x: "
-            << (target_met ? "MET" : "NOT MET — report-only") << ")\n";
+            << (target_met ? "MET" : "NOT MET — report-only") << ")\n"
+            << "  fast: " << ns_per_sample << " ns/sample (paper: "
+            << kPaperNsPerSample << " ns/sample, one sample per cycle)\n";
   json.key("single_pipeline")
       .begin_object()
       .field("cycle_samples_per_sec", cycle_sps)
       .field("fast_samples_per_sec", fast_sps)
+      .field("ns_per_sample", ns_per_sample)
+      .field("paper_ns_per_sample", kPaperNsPerSample)
       .field("speedup", speedup)
       .field("speedup_target", 20.0)
       .field("speedup_target_met", target_met)

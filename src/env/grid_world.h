@@ -59,37 +59,49 @@ class GridWorld final : public Environment {
                      std::uint64_t noise) const override;
   bool is_terminal(StateId s) const override;
 
-  /// Inline for the same reason as transition(): the reward image
-  /// (qtaccel::reward_image) calls it once per table entry through a
-  /// GridWorld reference, where it devirtualizes.
-  double reward(StateId s, ActionId a) const override {
+  /// What a deterministic move does: advance to a free cell, bump into
+  /// a wall or obstacle (the agent stays in place), or reach the goal.
+  enum class Outcome : std::uint8_t { kMove = 0, kBump = 1, kGoal = 2 };
+  struct Move {
+    StateId next;
+    Outcome outcome;
+  };
+
+  /// The single definition of a move; transition() and reward() both
+  /// read it. Inline: it is the devirtualized fast path of the functional
+  /// backend, which executes it once per sample and needs the optimizer
+  /// to see through it (see qtaccel/fast_engine.h).
+  Move move(StateId s, ActionId a) const {
     QTA_DCHECK(s < num_states() && a < num_actions());
     int dx = 0, dy = 0;
     action_delta(config_.num_actions, a, dx, dy);
     const int nx = static_cast<int>(x_of(s)) + dx;
     const int ny = static_cast<int>(y_of(s)) + dy;
-    if (!in_bounds(nx, ny)) return -config_.collision_penalty;
+    if (!in_bounds(nx, ny)) return {s, Outcome::kBump};  // boundary wall
     const StateId next =
         state_of(static_cast<unsigned>(nx), static_cast<unsigned>(ny));
-    if (obstacle_[next]) return -config_.collision_penalty;
-    if (next == goal_) return config_.goal_reward;
+    if (obstacle_[next]) return {s, Outcome::kBump};
+    return {next, next == goal_ ? Outcome::kGoal : Outcome::kMove};
+  }
+
+  /// The reward a move with this outcome pays.
+  double outcome_reward(Outcome outcome) const {
+    switch (outcome) {
+      case Outcome::kBump: return -config_.collision_penalty;
+      case Outcome::kGoal: return config_.goal_reward;
+      case Outcome::kMove: break;
+    }
     return config_.step_reward;
   }
 
-  /// Deterministic move. Inline (it is also the devirtualized fast path
-  /// of the functional backend, which executes it once per sample and
-  /// needs the optimizer to see through it — see qtaccel/fast_engine.h).
+  /// Inline so the reward image (qtaccel::reward_image) devirtualizes it.
+  double reward(StateId s, ActionId a) const override {
+    return outcome_reward(move(s, a).outcome);
+  }
+
+  /// Deterministic move (inline for the same reason as move()).
   StateId transition(StateId s, ActionId a) const override {
-    QTA_DCHECK(s < num_states() && a < num_actions());
-    int dx = 0, dy = 0;
-    action_delta(config_.num_actions, a, dx, dy);
-    const int nx = static_cast<int>(x_of(s)) + dx;
-    const int ny = static_cast<int>(y_of(s)) + dy;
-    if (!in_bounds(nx, ny)) return s;  // bump into the boundary wall
-    const StateId next =
-        state_of(static_cast<unsigned>(nx), static_cast<unsigned>(ny));
-    if (obstacle_[next]) return s;  // bump into an obstacle
-    return next;
+    return move(s, a).next;
   }
 
   // Coordinate helpers (paper addressing).

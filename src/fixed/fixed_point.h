@@ -18,6 +18,7 @@
 // raw_t only, which tools/qtlint enforces.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -108,34 +109,66 @@ inline raw_t sat_sub(raw_t a, raw_t b, Format f,
 
 /// Arithmetic right shift with round-half-away-from-zero — the division
 /// by a power of two the hardware uses for row means (adder tree output
-/// >> log2|A|).
+/// >> log2|A|). Branchless: a negative v rounds as (v + half - 1) >> shift,
+/// which equals the mirrored -((-v + half) >> shift) for every v whose
+/// negation fits (all of them but INT64_MIN).
 inline raw_t rshift_round(raw_t v, unsigned shift) {
   if (shift == 0) return v;
   QTA_CHECK(shift < 63);
   const raw_t half = raw_t{1} << (shift - 1);
-  if (v >= 0) return (v + half) >> shift;
-  // For negatives, mirror the positive case so rounding is symmetric.
-  return -((-v + half) >> shift);
+  return (v + half + (v >> 63)) >> shift;  // v >> 63 is -1 when v < 0
 }
+
+/// A DSP multiplier wired for one (fa, fb, out) format triple: mul() with
+/// the format checks done once, at construction, so a loop issuing many
+/// products pays only the multiply, the rounding shift and the clamp.
+/// Bit-identical to mul() with the same formats.
+class Multiplier {
+ public:
+  Multiplier(Format fa, Format fb, Format out)
+      : lo_(out.min_raw()), hi_(out.max_raw()) {
+    validate(fa);
+    validate(fb);
+    validate(out);
+    QTA_CHECK_MSG(fa.width + fb.width <= 62,
+                  "product would overflow the 64-bit accumulator");
+    const unsigned pfrac = fa.frac + fb.frac;  // frac bits of the product
+    if (pfrac >= out.frac) {
+      right_ = pfrac - out.frac;
+      if (right_ != 0) {
+        half_ = raw_t{1} << (right_ - 1);
+        round_ = ~raw_t{0};
+      }
+    } else {
+      left_ = out.frac - pfrac;
+    }
+  }
+
+  /// a * b rescaled into the output format with rounding (rshift_round's
+  /// arithmetic, without its per-call check) and saturation.
+  raw_t operator()(raw_t a, raw_t b, bool* saturated = nullptr) const {
+    const raw_t product = a * b;
+    const raw_t rescaled =
+        ((product << left_) + half_ + ((product >> 63) & round_)) >> right_;
+    const raw_t clamped = std::clamp(rescaled, lo_, hi_);
+    if (saturated != nullptr && clamped != rescaled) *saturated = true;
+    return clamped;
+  }
+
+ private:
+  unsigned left_ = 0;   // product frac bits below the output's: shift up
+  unsigned right_ = 0;  // ... above the output's: rounding shift down
+  raw_t half_ = 0;      // rounding constant, 0 when right_ == 0
+  raw_t round_ = 0;     // all ones when right_ != 0 (negatives round down)
+  raw_t lo_;
+  raw_t hi_;
+};
 
 /// DSP multiply: a (format fa) times b (format fb), rescaled into `out`
 /// with rounding and saturation. This is one DSP48 in the resource model.
 inline raw_t mul(raw_t a, Format fa, raw_t b, Format fb, Format out,
                  bool* saturated = nullptr) {
-  validate(fa);
-  validate(fb);
-  validate(out);
-  QTA_CHECK_MSG(fa.width + fb.width <= 62,
-                "product would overflow the 64-bit accumulator");
-  const raw_t product = a * b;  // frac bits: fa.frac + fb.frac
-  const unsigned pfrac = fa.frac + fb.frac;
-  raw_t rescaled;
-  if (pfrac >= out.frac) {
-    rescaled = rshift_round(product, pfrac - out.frac);
-  } else {
-    rescaled = product << (out.frac - pfrac);
-  }
-  return saturate(rescaled, out, saturated);
+  return Multiplier(fa, fb, out)(a, b, saturated);
 }
 
 /// Re-quantize a value from format `from` into format `to` (round+saturate).

@@ -137,9 +137,11 @@ struct AddressMap {
 AddressMap make_address_map(const env::Environment& env);
 
 /// The reward BRAM image: env.reward(s, a) quantized to `fmt` at
-/// map.q_addr(s, a), zero in the padding. Every backend builds its
-/// reward table from this one loop. It calls a GridWorld's inline
-/// reward() directly and quantizes each distinct reward value once.
+/// map.q_addr(s, a), zero in the padding. Every backend that keeps a
+/// reward table builds it from this one loop (FastEngine keeps none for
+/// a deterministic grid world: it pays by GridWorld::move's outcome). It
+/// calls a GridWorld's inline reward() directly and quantizes each
+/// distinct reward value once.
 std::vector<fixed::raw_t> reward_image(const env::Environment& env,
                                        const AddressMap& map,
                                        fixed::Format fmt);

@@ -631,11 +631,11 @@ StateId LaneEngine::hot_next_state(Hot& L, StateId s, ActionId a) {
 //
 // One lane, one iteration, split across three thin phases run
 // lane-major so every live lane's prefetches are issued before any lane
-// consumes them. The LFSR draws stay in exactly FastEngine::step_one_t's
-// per-lane order: start draw, behavior draw, table select (pass_addr),
-// transition noise (pass_next), epsilon (pass_read). Bubbles retire
-// entirely in pass_addr and leave the slot inactive (zeroed operands
-// keep the kernel's products harmless).
+// consumes them. The LFSR draws stay in exactly FastEngine's per-lane
+// order (walk_t, then update_t): start draw, behavior draw, table select
+// (pass_addr), transition noise (pass_next), epsilon (pass_read). Bubbles
+// retire entirely in pass_addr and leave the slot inactive (zeroed
+// operands keep the kernel's products harmless).
 template <Algorithm kAlgo, bool kTel>
 void LaneEngine::pass_addr(Hot& L, std::size_t slot) {
   const std::uint64_t iter = L.stats.iterations;

@@ -42,9 +42,10 @@ Lfsr::Lfsr(unsigned width, std::uint64_t seed)
     : width_(width),
       mask_(width == 64 ? ~std::uint64_t{0}
                         : (std::uint64_t{1} << width) - 1),
-      taps_(lfsr_taps(width)) {
-  state_ = seed & mask_;
-  if (state_ == 0) state_ = 1;  // all-zero is the absorbing state
+      taps_(lfsr_taps(width) << (64 - width)) {
+  std::uint64_t state = seed & mask_;
+  if (state == 0) state = 1;  // all-zero is the absorbing state
+  reg_ = state << (64 - width);
 }
 
 double Lfsr::uniform() {

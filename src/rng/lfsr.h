@@ -27,11 +27,8 @@ class Lfsr {
   /// Inline: this is the innermost operation of every random draw in the
   /// simulator's hot loops (one call per output bit).
   std::uint64_t step() {
-    // Galois left-shift form: the bit leaving at the MSB re-enters through
-    // the polynomial taps.
-    const std::uint64_t out = (state_ >> (width_ - 1)) & 1u;
-    state_ = ((state_ << 1) & mask_) ^ (out ? taps_ : 0u);
-    return state_;
+    reg_ = advance(reg_);
+    return state();
   }
 
   /// Draws `n` (1..64) pseudo-random bits from the output stream: one
@@ -41,16 +38,18 @@ class Lfsr {
   /// snapshots would not.
   std::uint64_t draw_bits(unsigned n) {
     QTA_CHECK(n >= 1 && n <= 64);
-    // Bit-serial collection of the output stream (the MSB shifted out each
-    // step). Taking whole register snapshots instead would make successive
-    // draws overlap in all but one bit and badly correlate them.
+    // Output bit i is the MSB shifted out by step i. Each enters the
+    // accumulator at bit 63 and moves down one place per step, so after
+    // n steps bit i sits at 64 - n + i. The register stays in a local so
+    // the loop carries one dependency chain.
     std::uint64_t acc = 0;
+    std::uint64_t reg = reg_;
     for (unsigned i = 0; i < n; ++i) {
-      const std::uint64_t out = (state_ >> (width_ - 1)) & 1u;
-      acc |= out << i;
-      step();
+      acc = (acc >> 1) | (reg & kMsb);
+      reg = advance(reg);
     }
-    return acc;
+    reg_ = reg;
+    return acc >> (64 - n);
   }
 
   /// Uniform value in [0, bound) via the fixed-point multiply trick
@@ -69,7 +68,7 @@ class Lfsr {
   /// Uniform double in [0, 1) using width bits (capped at 53).
   double uniform();
 
-  std::uint64_t state() const { return state_; }
+  std::uint64_t state() const { return reg_ >> (64 - width_); }
 
   /// Restores a previously observed register state (snapshot resume).
   /// The state must be a value this register can actually hold: nonzero
@@ -77,7 +76,7 @@ class Lfsr {
   void set_state(std::uint64_t state) {
     QTA_CHECK_MSG(state != 0 && (state & mask_) == state,
                   "LFSR state outside the register's reachable set");
-    state_ = state;
+    reg_ = state << (64 - width_);
   }
 
   unsigned width() const { return width_; }
@@ -89,10 +88,22 @@ class Lfsr {
   std::uint64_t period() const;
 
  private:
+  static constexpr std::uint64_t kMsb = std::uint64_t{1} << 63;
+
+  // The register is held left-aligned in 64 bits (its MSB at bit 63, the
+  // low 64 - width bits zero), so a step needs no mask and reads the
+  // output bit with a constant shift. One Galois left shift: the bit
+  // leaving at the MSB re-enters through the polynomial taps. Masked
+  // rather than selected (`out ? taps : 0` compiles to a jump on a random
+  // bit, mispredicted half the time).
+  std::uint64_t advance(std::uint64_t reg) const {
+    return (reg << 1) ^ (taps_ & (0 - (reg >> 63)));
+  }
+
   unsigned width_;
   std::uint64_t mask_;
-  std::uint64_t taps_;
-  std::uint64_t state_;
+  std::uint64_t taps_;  // left-aligned like reg_
+  std::uint64_t reg_;
 };
 
 /// The tap polynomial (bit mask) used for a given width; exposed for tests

@@ -2,13 +2,17 @@
 
 #include <functional>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <vector>
 
 #include "env/bandit.h"
 #include "env/grid_world.h"
 #include "env/partition.h"
 #include "env/random_mdp.h"
 #include "env/value_iteration.h"
+#include "qtaccel/fast_engine.h"
+#include "qtaccel/golden_model.h"
 
 namespace qta::env {
 namespace {
@@ -114,6 +118,100 @@ TEST(GridWorld, CustomGoalAndRewards) {
   EXPECT_DOUBLE_EQ(g.reward(g.state_of(1, 2), 0b00), 100.0);
   EXPECT_DOUBLE_EQ(g.reward(g.state_of(0, 0), 0b00), -50.0);
   EXPECT_DOUBLE_EQ(g.reward(g.state_of(2, 0), 0b00), -1.0);
+}
+
+// move() is the one definition of a grid move. Checked against a
+// from-scratch reference (action_delta, bounds, obstacles, goal) on every
+// (s, a), and transition()/reward() through the virtual interface must
+// agree with it.
+TEST(GridWorld, TransitionAndRewardAgreeWithMove) {
+  for (unsigned actions : {4u, 8u}) {
+    GridWorldConfig c;
+    c.width = 8;
+    c.height = 4;
+    c.num_actions = actions;
+    c.goal_x = 2;
+    c.goal_y = 1;
+    c.obstacle_density = 0.25;
+    c.obstacle_seed = 5;
+    c.extra_obstacles = {{0, 0}, {7, 3}};
+    c.goal_reward = 10.0;
+    c.collision_penalty = 3.0;
+    c.step_reward = -1.0;
+    const GridWorld g(c);
+    const Environment& env = g;
+    unsigned seen[3] = {};
+    for (StateId s = 0; s < g.num_states(); ++s) {
+      for (ActionId a = 0; a < actions; ++a) {
+        int dx = 0, dy = 0;
+        GridWorld::action_delta(actions, a, dx, dy);
+        const int nx = static_cast<int>(g.x_of(s)) + dx;
+        const int ny = static_cast<int>(g.y_of(s)) + dy;
+        StateId want_next = s;
+        double want_reward = -3.0;
+        if (nx >= 0 && ny >= 0 && nx < 8 && ny < 4 &&
+            !g.is_obstacle(g.state_of(static_cast<unsigned>(nx),
+                                      static_cast<unsigned>(ny)))) {
+          want_next = g.state_of(static_cast<unsigned>(nx),
+                                 static_cast<unsigned>(ny));
+          want_reward = want_next == g.goal_state() ? 10.0 : -1.0;
+        }
+        const GridWorld::Move m = g.move(s, a);
+        EXPECT_EQ(m.next, want_next) << "s=" << s << " a=" << a;
+        EXPECT_EQ(g.outcome_reward(m.outcome), want_reward)
+            << "s=" << s << " a=" << a;
+        EXPECT_EQ(env.transition(s, a), m.next);
+        EXPECT_EQ(env.reward(s, a), g.outcome_reward(m.outcome));
+        ++seen[static_cast<unsigned>(m.outcome)];
+      }
+    }
+    // The world exercises all three outcomes.
+    EXPECT_GT(seen[static_cast<unsigned>(GridWorld::Outcome::kMove)], 0u);
+    EXPECT_GT(seen[static_cast<unsigned>(GridWorld::Outcome::kBump)], 0u);
+    EXPECT_GT(seen[static_cast<unsigned>(GridWorld::Outcome::kGoal)], 0u);
+  }
+}
+
+// FastEngine pays a grid's reward inline from the move's outcome rather
+// than from a reward image; with three distinct non-default rewards it
+// must still retire the golden model's exact trace.
+TEST(GridWorld, FastEngineMatchesGoldenOnEveryRewardOutcome) {
+  GridWorldConfig c;
+  c.width = 8;
+  c.height = 8;
+  c.num_actions = 4;
+  c.obstacle_density = 0.2;
+  c.obstacle_seed = 11;
+  c.goal_reward = 7.5;
+  c.collision_penalty = 2.25;
+  c.step_reward = -1.0;
+  const GridWorld g(c);
+  for (auto algorithm :
+       {qtaccel::Algorithm::kQLearning, qtaccel::Algorithm::kSarsa}) {
+    qtaccel::PipelineConfig config;
+    config.algorithm = algorithm;
+    config.seed = 3;
+    config.max_episode_length = 32;
+    qtaccel::GoldenModel golden(g, config);
+    qtaccel::FastEngine fast(g, config);
+    std::vector<qtaccel::SampleTrace> golden_trace;
+    std::vector<qtaccel::SampleTrace> fast_trace;
+    golden.set_trace(&golden_trace);
+    fast.set_trace(&fast_trace);
+    golden.run(20000);
+    fast.run_iterations(20000);
+    ASSERT_EQ(golden_trace, fast_trace);
+    std::set<fixed::raw_t> rewards;
+    for (const auto& t : fast_trace) {
+      if (!t.bubble) rewards.insert(t.reward);
+    }
+    EXPECT_EQ(rewards.size(), 3u);
+    for (StateId s = 0; s < g.num_states(); ++s) {
+      for (ActionId a = 0; a < g.num_actions(); ++a) {
+        ASSERT_EQ(golden.q_raw(s, a), fast.q_raw(s, a));
+      }
+    }
+  }
 }
 
 TEST(GridWorld, SlipperyTransitionsUseNoise) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -124,6 +125,68 @@ TEST(Mul, SaturationFlag) {
   // 500 * 500 in s9.8 -> way past max -> saturate.
   mul(from_double(500.0, q), q, from_double(500.0, wide), wide, q, &sat);
   EXPECT_TRUE(sat);
+}
+
+// The mirrored definition of round-half-away-from-zero that
+// rshift_round's branchless form must reproduce.
+raw_t reference_rshift_round(raw_t v, unsigned shift) {
+  if (shift == 0) return v;
+  const raw_t half = raw_t{1} << (shift - 1);
+  return v >= 0 ? (v + half) >> shift : -((-v + half) >> shift);
+}
+
+TEST(RshiftRound, MatchesMirroredDefinition) {
+  for (unsigned shift = 0; shift < 63; ++shift) {
+    const raw_t step = raw_t{1} << (shift < 2 ? 0 : shift - 2);
+    // Every residue around zero and around the rounding ties, and values
+    // out to the 62-bit product range the multiplier admits.
+    const raw_t k_max = std::min<raw_t>(40, ((raw_t{1} << 61) - 2) / step);
+    for (raw_t k = -k_max; k <= k_max; ++k) {
+      for (raw_t d = -2; d <= 2; ++d) {
+        const raw_t v = k * step + d;
+        ASSERT_EQ(rshift_round(v, shift), reference_rshift_round(v, shift))
+            << v << " >> " << shift;
+      }
+    }
+    for (raw_t v : {(raw_t{1} << 61) - 1, -(raw_t{1} << 61),
+                    -(raw_t{1} << 61) + 1, raw_t{-1}, raw_t{1}}) {
+      ASSERT_EQ(rshift_round(v, shift), reference_rshift_round(v, shift))
+          << v << " >> " << shift;
+    }
+  }
+}
+
+// Multiplier (formats checked once) against the per-call definition:
+// product, mirrored rounding shift or left shift, saturation.
+TEST(Mul, MultiplierMatchesReference) {
+  const Format formats[] = {{18, 8}, {18, 16}, {18, 2}, {24, 4}, {12, 11},
+                            {30, 20}, {8, 0}};
+  rng::Xoshiro256 rng(17);
+  for (const Format fa : formats) {
+    for (const Format fb : formats) {
+      if (fa.width + fb.width > 62) continue;
+      for (const Format out : formats) {
+        const Multiplier m(fa, fb, out);
+        for (int i = 0; i < 200; ++i) {
+          const raw_t a = fa.min_raw() + static_cast<raw_t>(rng.below(
+              static_cast<std::uint64_t>(fa.max_raw() - fa.min_raw() + 1)));
+          const raw_t b = fb.min_raw() + static_cast<raw_t>(rng.below(
+              static_cast<std::uint64_t>(fb.max_raw() - fb.min_raw() + 1)));
+          const unsigned pfrac = fa.frac + fb.frac;
+          const raw_t rescaled =
+              pfrac >= out.frac
+                  ? reference_rshift_round(a * b, pfrac - out.frac)
+                  : (a * b) << (out.frac - pfrac);
+          bool want_sat = false;
+          const raw_t want = saturate(rescaled, out, &want_sat);
+          bool got_sat = false;
+          EXPECT_EQ(m(a, b, &got_sat), want) << a << " * " << b;
+          EXPECT_EQ(got_sat, want_sat);
+          EXPECT_EQ(mul(a, fa, b, fb, out), want);
+        }
+      }
+    }
+  }
 }
 
 TEST(Convert, BetweenFormats) {
